@@ -43,8 +43,12 @@ class Outcome(enum.Enum):
 
     @property
     def is_fail(self):
-        return self in (Outcome.RSRV_FAIL_TAGS, Outcome.RSRV_FAIL_MSHR,
-                        Outcome.RSRV_FAIL_ICNT)
+        return self in RESERVATION_FAILS
+
+
+#: the outcomes after which the request must retry on a later cycle.
+RESERVATION_FAILS = frozenset({Outcome.RSRV_FAIL_TAGS, Outcome.RSRV_FAIL_MSHR,
+                               Outcome.RSRV_FAIL_ICNT})
 
 
 class _State(enum.Enum):

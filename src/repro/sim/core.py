@@ -17,6 +17,25 @@ cycle-level model of one streaming multiprocessor:
 Global stores and atomics bypass L1 (Fermi behaviour): they only need an
 interconnect credit, so their only reservation-failure mode is
 ``rsrv_fail_icnt``.
+
+The SM is stepped only on cycles where its state can change (DESIGN.md,
+"Event-driven simulator loop").  At the end of each cycle
+:meth:`SMCore.cycle` asks whether the next cycle would repeat this one:
+nothing can issue, and the LD/ST unit is either empty or retrying a head
+that just failed its reservation (the prefetch port likewise).  If so it
+sets ``wake_at`` to its own next event — the head of its event heap, or
+the cycle a busy SP/SFU frees for a warp waiting on it — and sleeps.  The
+per-cycle counters of the skipped cycles (SM-active cycles, the issue
+stall, and for a failing head its LD/ST-busy and L1-outcome cycles) are
+credited in one step when it next runs.  Anything else that can change
+its state comes from outside and goes through :meth:`SMCore.wake`: a
+response (:meth:`receive_response`), the request network returning a
+credit it waits for, or :meth:`assign_cta`.
+
+The issue stage checks the scoreboard with per-static-instruction
+register bitmasks (:class:`HazardTable`) and caches the outcome of a
+failed scan until a writeback, LD/ST pop, CTA change or unit free can
+alter it, so a stalled SM pays O(1) per cycle.
 """
 
 from __future__ import annotations
@@ -28,24 +47,28 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..emulator.columnar import _PC_SHIFT, KIND_NONE
 from ..ptx.isa import Space, Unit
-from .cache import Cache, Outcome
+from .cache import RESERVATION_FAILS, Cache, Outcome
 from .coalescer import coalesce_addresses
 from .request import MemRequest
+from .stats import class_label
+
+#: ``wake_at`` of a component that only an external event can wake.
+NEVER = 1 << 62
 
 
 class InflightMemInst:
     """A memory warp-instruction from LD/ST issue to last data writeback."""
 
-    __slots__ = ("warp", "dests", "pending", "requests", "outstanding",
+    __slots__ = ("warp", "dest_mask", "pending", "requests", "outstanding",
                  "n_requests", "t_issue", "t_first_accept", "t_last_accept",
                  "l2_in_min", "l2_in_max", "back_min", "back_max",
                  "load_class", "pc", "kernel_name", "is_load", "is_store",
                  "fixed_latency", "port_cycles")
 
-    def __init__(self, warp, dests, pc, kernel_name, load_class,
+    def __init__(self, warp, dest_mask, pc, kernel_name, load_class,
                  is_load, is_store, t_issue, fixed_latency=None):
         self.warp = warp
-        self.dests = dests
+        self.dest_mask = dest_mask
         self.pending: List[MemRequest] = []
         self.requests: List[MemRequest] = []
         self.outstanding = 0
@@ -93,6 +116,66 @@ class InflightMemInst:
             self.back_max = t
 
 
+class _Static:
+    """Issue-stage facts about one static instruction."""
+
+    __slots__ = ("inst", "mask", "dest_mask", "unit", "is_memory")
+
+    def __init__(self, inst, mask, dest_mask):
+        self.inst = inst
+        #: registers the instruction reads or writes: it may issue only
+        #: when none of them has a write in flight (RAW and WAW hazards)
+        self.mask = mask
+        self.dest_mask = dest_mask
+        self.unit = inst.unit
+        self.is_memory = inst.is_memory
+
+
+class HazardTable:
+    """Register bitmasks for the scoreboard, one entry per static
+    instruction.
+
+    Each register name of a launch gets one bit, so a scoreboard check is
+    ``pending & mask`` instead of a set lookup per operand.  The GPU
+    builds a table per launch from the kernel's instruction list;
+    instructions it has not seen (record traces, hand-built tests) are
+    added on first use.
+    """
+
+    def __init__(self, instructions=()):
+        self._bits: Dict[str, int] = {}
+        self._names: List[str] = []
+        # keyed by id(); the entry holds the instruction, so the id
+        # cannot be reused while the table lives
+        self._by_id: Dict[int, _Static] = {}
+        for inst in instructions:
+            self.of(inst)
+
+    def _mask(self, names):
+        mask = 0
+        for name in names:
+            bit = self._bits.get(name)
+            if bit is None:
+                bit = self._bits[name] = len(self._names)
+                self._names.append(name)
+            mask |= 1 << bit
+        return mask
+
+    def of(self, inst):
+        info = self._by_id.get(id(inst))
+        if info is None:
+            dest_mask = self._mask(inst.write_reg_names)
+            info = _Static(inst, self._mask(inst.read_reg_names) | dest_mask,
+                           dest_mask)
+            self._by_id[id(inst)] = info
+        return info
+
+    def names(self, mask):
+        """The register names whose bits are set in ``mask``."""
+        return sorted(name for bit, name in enumerate(self._names)
+                      if mask >> bit & 1)
+
+
 class _OpView:
     """The slice of one trace op the timing model consumes."""
 
@@ -111,23 +194,28 @@ class _WarpRun:
     each issued op materializes one transient :class:`_OpView` (cached
     while the issue pointer sits on it) instead of the legacy path's
     up-front list of per-op record objects.  Legacy record traces fall
-    back to that list.
+    back to that list.  ``info``/``op_mask`` describe the op at the issue
+    pointer and are reloaded when it advances.
     """
 
-    __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
-                 "cta", "trace_done", "age", "_ops", "_insts", "_pc",
-                 "_kind", "_astart", "_lanes", "_addrs",
-                 "_cur_idx", "_cur_op")
+    __slots__ = ("trace", "ptr", "n", "pending", "at_barrier",
+                 "cta", "trace_done", "age", "info", "op_mask", "_hazards",
+                 "_ops", "_insts", "_pc", "_kind", "_astart", "_lanes",
+                 "_addrs", "_cur_idx", "_cur_op")
 
-    def __init__(self, trace, cta, age=0):
+    def __init__(self, trace, cta, age=0, hazards=None):
         self.trace = trace
         self.ptr = 0
-        self.pending_regs: Set[str] = set()
+        #: bitmask of registers with a write in flight
+        self.pending = 0
         self.at_barrier = False
         self.cta = cta
         self.age = age
+        self._hazards = hazards if hazards is not None else HazardTable()
         self._cur_idx = -1
         self._cur_op = None
+        self.info = None
+        self.op_mask = 0
         if hasattr(trace, "iter_chunks"):  # ColumnarWarpTrace
             trace.seal()
             self._ops = None
@@ -142,6 +230,17 @@ class _WarpRun:
             self._ops = trace.ops
             self.n = len(self._ops)
         self.trace_done = not self.n
+        if self.n:
+            self.load()
+
+    def load(self):
+        """Point ``info``/``op_mask`` at the op under the issue pointer."""
+        if self._ops is not None:
+            inst = self._ops[self.ptr].inst
+        else:
+            inst = self._insts[int(self._pc[self.ptr]) >> _PC_SHIFT]
+        info = self.info = self._hazards.of(inst)
+        self.op_mask = info.mask
 
     def op_at(self, idx):
         """The op view at trace position ``idx`` (uncached)."""
@@ -234,6 +333,24 @@ class SMCore:
         #: per-launch context, set by the GPU before simulation
         self.kernel_name = ""
         self.pc_classes: Dict[int, str] = {}
+        self.hazards = HazardTable()
+        #: classified loads issued whose completion is not yet recorded
+        self.loads_in_flight = 0
+        # -- event-driven stepping (see the module docstring) --
+        #: the next cycle the GPU must step this SM
+        self.wake_at = 0
+        #: True while asleep on a reservation failure a returning
+        #: request-network credit can clear
+        self.waits_for_credit = False
+        self._next_cycle = 0   # first cycle neither stepped nor credited
+        # what one slept cycle adds to the stats: the issue-stall reason
+        # (None without resident warps) and the failing LD/ST head's
+        # (outcome, class label) (None when the unit is idle)
+        self._idle_reason: Optional[str] = None
+        self._idle_l1: Optional[Tuple[Outcome, str]] = None
+        #: the last failed issue scan, ``(reason, retry_at)``: nothing can
+        #: issue before ``retry_at`` unless the cache is dropped
+        self._stall: Optional[Tuple[str, int]] = None
 
     # -- occupancy -----------------------------------------------------------
 
@@ -241,20 +358,19 @@ class SMCore:
     def resident_ctas(self):
         return len(self.ctas)
 
-    @property
-    def has_work(self):
-        return bool(self.warps or self.ldst_queue or self._events)
-
     def assign_cta(self, cta_id, warp_traces):
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
         for trace in warp_traces:
-            run = _WarpRun(trace, slot, age=next(self._warp_age))
+            run = _WarpRun(trace, slot, age=next(self._warp_age),
+                           hazards=self.hazards)
             slot.warps.append(run)
             if not run.trace_done:
                 slot.warps_not_done += 1
             self.warps.append(run)
         self.ctas[cta_id] = slot
+        self._stall = None
+        self.wake_at = min(self.wake_at, self._next_cycle)
         # a CTA with only empty warp traces finishes immediately
         if slot.finished:
             self._retire_cta(slot)
@@ -266,12 +382,23 @@ class SMCore:
         self._rr = 0 if not keep else self._rr % len(keep)
         if self._greedy is not None and self._greedy.cta is slot:
             self._greedy = None
+        self._stall = None
         self.on_cta_finished(self.sm_id, slot.cta_id)
+
+    def _release(self, cta):
+        """One of ``cta``'s issued ops completed."""
+        cta.outstanding -= 1
+        if cta.finished:
+            self._retire_cta(cta)
 
     # -- responses from the memory system ------------------------------------------
 
     def receive_response(self, req, now):
-        """A data response arrived over the response network."""
+        """A data response arrived over the response network.
+
+        The caller wakes the SM first (:meth:`wake`), so the cycles it
+        slept through are credited before the response changes its state.
+        """
         if req.is_atomic:
             self._complete_request(req, now)
             return
@@ -293,17 +420,16 @@ class SMCore:
 
     def _finish_inflight(self, inflight, now):
         warp = inflight.warp
-        for dest in inflight.dests:
-            warp.pending_regs.discard(dest)
-        warp.cta.outstanding -= 1
+        warp.pending &= ~inflight.dest_mask
+        self._stall = None
         self._record_completion(inflight, now)
-        if warp.cta.finished:
-            self._retire_cta(warp.cta)
+        self._release(warp.cta)
 
     def _record_completion(self, inflight, now):
         if not inflight.is_load or inflight.load_class is None \
                 or not inflight.requests:
             return
+        self.loads_in_flight -= 1
         turnaround = now - inflight.t_issue
         wait_first = max(0, inflight.t_first_accept - inflight.t_issue)
         gap_l1d = max(0, inflight.t_last_accept - inflight.t_first_accept)
@@ -322,24 +448,88 @@ class SMCore:
 
     # -- per-cycle work ----------------------------------------------------------------
 
+    def wake(self, now):
+        """Make the SM run at cycle ``now``: an external event is about to
+        change its state.  The cycles it slept through are credited first,
+        with the state they repeated."""
+        if now > self._next_cycle:
+            self._credit_idle(now - self._next_cycle)
+            self._next_cycle = now
+        if self.wake_at > now:
+            self.wake_at = now
+        self.waits_for_credit = False
+
+    def _credit_idle(self, cycles):
+        """Add ``cycles`` slept cycles' worth of per-cycle statistics."""
+        stats = self.stats
+        reason = self._idle_reason
+        if reason is not None:
+            stats.active_sm_cycles += cycles
+            stats.issue_stall[reason] += cycles
+        if self._idle_l1 is not None:
+            outcome, label = self._idle_l1
+            stats.unit_busy["ldst"] += cycles
+            stats.l1_cycles[outcome] += cycles
+            stats.l1_cycles_by_class[label][outcome] += cycles
+
     def cycle(self, now):
-        """Advance one cycle; returns True when the SM did any work."""
-        worked = self._pop_events(now)
-        demand = self._ldst_cycle(now)
-        worked |= demand
-        if not demand and self._pf_queue:
+        """Advance one cycle, then set ``wake_at`` to the next cycle the
+        SM must be stepped at."""
+        if now > self._next_cycle:
+            self._credit_idle(now - self._next_cycle)
+        self._next_cycle = now + 1
+        events = self._events
+        if events and events[0][0] <= now:
+            self._pop_events(now)
+        head_fail = None
+        pf_blocked = False
+        if self.ldst_queue:
+            head_fail = self._ldst_cycle(now)
+        elif self._pf_queue:
             # the L1 port is free this cycle: spend it on a prefetch
-            worked |= self._prefetch_cycle(now)
-        issued = self._issue(now)
-        worked |= issued
-        if self.warps:
+            pf_blocked = self._prefetch_cycle(now)
+        issued = self._issue(now) if self.warps else False
+        warps = self.warps
+        if warps:
             self.stats.active_sm_cycles += 1
             if not issued:
-                self.stats.issue_stall[self.stall_reason()] += 1
-        return worked
+                self.stats.issue_stall[self._stall[0]] += 1
+
+        # Does the next cycle repeat this one?  Only if the issue stage is
+        # known to be stuck past it and the LD/ST port has nothing new.
+        stall = self._stall
+        if warps and (stall is None or stall[1] <= now + 1):
+            self.wake_at = now + 1
+            return
+        if self.ldst_queue:
+            if head_fail is None:
+                self.wake_at = now + 1
+                return
+            self._idle_l1 = (head_fail, class_label(
+                self.ldst_queue[0].pending[0].load_class))
+        elif self._pf_queue and not pf_blocked:
+            self.wake_at = now + 1
+            return
+        else:
+            self._idle_l1 = None
+        self.waits_for_credit = (head_fail is Outcome.RSRV_FAIL_ICNT
+                                 or pf_blocked)
+        wake = NEVER
+        if warps:
+            self._idle_reason = stall[0]
+            wake = stall[1]
+        else:
+            self._idle_reason = None
+        if events and events[0][0] < wake:
+            wake = events[0][0]
+        self.wake_at = wake
 
     def stall_reason(self):
-        """Why no instruction can issue right now (coarse, prioritized)."""
+        """Why no instruction can issue right now (coarse, prioritized).
+
+        The readable reference for the reason the issue stage caches in
+        ``_stall`` after a failed scan.
+        """
         live = [w for w in self.warps if not w.trace_done]
         if not live:
             return "drained"
@@ -347,7 +537,7 @@ class SMCore:
         if not runnable:
             return "barrier"
         for warp in runnable:
-            if self._scoreboard_ready(warp, warp.peek().inst):
+            if self._scoreboard_ready(warp):
                 return "unit_busy"
         return "scoreboard"
 
@@ -355,12 +545,12 @@ class SMCore:
         """Scheduling-relevant state for deadlock reports."""
         warps = []
         for w in self.warps:
-            if w.trace_done and not w.pending_regs:
+            if w.trace_done and not w.pending:
                 continue
             warps.append({"cta": w.cta.cta_id, "warp": w.trace.warp_id,
                           "op": "%d/%d" % (w.ptr, w.n),
                           "at_barrier": w.at_barrier,
-                          "pending_regs": sorted(w.pending_regs)})
+                          "pending_regs": self.hazards.names(w.pending)})
         return {"sm": self.sm_id,
                 "resident_ctas": sorted(self.ctas),
                 "stall": self.stall_reason() if self.warps else "empty",
@@ -370,31 +560,31 @@ class SMCore:
                 "warps": warps}
 
     def _pop_events(self, now):
-        worked = False
-        while self._events and self._events[0][0] <= now:
-            _t, _s, kind, payload = heapq.heappop(self._events)
-            worked = True
+        events = self._events
+        while events and events[0][0] <= now:
+            _t, _s, kind, payload = heapq.heappop(events)
             if kind == "wb":
-                warp, dests = payload
-                for dest in dests:
-                    warp.pending_regs.discard(dest)
-                warp.cta.outstanding -= 1
-                if warp.cta.finished:
-                    self._retire_cta(warp.cta)
+                warp, dest_mask = payload
+                warp.pending &= ~dest_mask
+                self._stall = None
+                self._release(warp.cta)
             elif kind == "hit":
                 self._complete_request(payload, now)
             elif kind == "fixed":
                 self._finish_inflight(payload, now)
-        return worked
 
     def _schedule(self, time, kind, payload):
         heapq.heappush(self._events, (time, next(self._seq), kind, payload))
 
     # -- LD/ST unit ---------------------------------------------------------------------
 
+    def _pop_ldst(self):
+        self.ldst_queue.popleft()
+        self._stall = None  # a warp may be waiting for a queue slot
+
     def _ldst_cycle(self, now):
-        if not self.ldst_queue:
-            return False
+        """One LD/ST port cycle on the queue head; returns the
+        reservation-failure outcome when the head must retry, else None."""
         self.stats.unit_busy["ldst"] += 1
         head = self.ldst_queue[0]
 
@@ -405,36 +595,32 @@ class SMCore:
             head.port_cycles -= 1
             if head.port_cycles > 0:
                 self.stats.shared_bank_conflict_cycles += 1
-                return True
-            self.ldst_queue.popleft()
-            if head.dests:
+                return None
+            self._pop_ldst()
+            if head.dest_mask:
                 self._schedule(now + head.fixed_latency, "fixed", head)
             else:
-                head.warp.cta.outstanding -= 1
-                if head.warp.cta.finished:
-                    self._retire_cta(head.warp.cta)
-            return True
+                self._release(head.warp.cta)
+            return None
 
         req = head.pending[0]
         outcome = self._access_l1(req, now)
         self.stats.record_l1_cycle(outcome, req.load_class)
-        if outcome.is_fail:
-            return True
+        if outcome in RESERVATION_FAILS:
+            return outcome
         if not req.is_write and not req.is_atomic:
             self.stats.record_l1_result(outcome, req.load_class)
         req.t_accept = now
         head.accept(now)
         head.pending.pop(0)
         if not head.pending:
-            self.ldst_queue.popleft()
+            self._pop_ldst()
             if head.is_store:
                 # write-through stores complete at acceptance
-                head.warp.cta.outstanding -= 1
-                if head.warp.cta.finished:
-                    self._retire_cta(head.warp.cta)
+                self._release(head.warp.cta)
             elif head.outstanding == 0:
                 self._finish_inflight(head, now)
-        return True
+        return None
 
     def _access_l1(self, req, now):
         """Present one request to the L1 port; returns the outcome."""
@@ -466,61 +652,75 @@ class SMCore:
 
     # -- issue stage ------------------------------------------------------------------------
 
-    def _scoreboard_ready(self, warp, inst):
-        pend = warp.pending_regs
-        if not pend:
-            return True
-        for name in inst.read_reg_names:
-            if name in pend:
-                return False
-        for name in inst.write_reg_names:
-            if name in pend:
-                return False
-        return True
+    @staticmethod
+    def _scoreboard_ready(warp):
+        return not warp.pending & warp.op_mask
 
-    def _candidate_order(self):
-        """Warp visit order according to the configured scheduler.
-
-        ``lrr`` (the paper's baseline) rotates from the warp after the
-        last issuer; ``gto`` keeps the greedy warp first, then falls back
-        to the oldest-assigned warps.
-        """
-        n = len(self.warps)
-        if self.config.warp_scheduler == "gto":
-            ordered = sorted(self.warps, key=lambda w: w.age)
-            greedy = self._greedy
-            if greedy is not None and greedy in self.warps:
-                ordered.remove(greedy)
-                ordered.insert(0, greedy)
-            return ordered
-        start = self._rr % n
-        return [self.warps[(start + k) % n] for k in range(n)]
+    def _unit_free_at(self, info):
+        """The cycle the unit that just refused ``info`` can take it
+        (``NEVER`` for a full LD/ST queue: a pop drops the stall cache)."""
+        if info.is_memory:
+            return NEVER
+        if info.unit is Unit.SP:
+            return self._sp_busy_until
+        return self._sfu_busy_until
 
     def _issue(self, now):
-        if not self.warps:
+        """Issue up to ``issue_width`` instructions; True if any issued.
+
+        ``lrr`` (the paper's baseline) visits warps rotating from the one
+        after the last issuer; ``gto`` visits the greedy warp first, then
+        the rest oldest first (``self.warps`` is kept in age order).  A
+        scan that finds nothing to issue caches its stall reason and the
+        earliest cycle a busy unit frees; until then, unless a state
+        change drops the cache, the scan is skipped.
+        """
+        stall = self._stall
+        if stall is not None and now < stall[1]:
             return False
+        self._stall = None
+        gto = self.config.warp_scheduler == "gto"
+        width = self.config.issue_width
         issued = 0
-        rescan = True
-        while rescan and issued < self.config.issue_width:
-            rescan = False
-            for warp in self._candidate_order():
-                if warp.blocked:
+        while issued < width and self.warps:
+            warps = self.warps
+            n = len(warps)
+            if gto:
+                greedy = self._greedy
+                order = warps if greedy is None else (
+                    [greedy] + [w for w in warps if w is not greedy])
+            else:
+                start = self._rr % n
+                order = warps[start:] + warps[:start] if start else warps
+            live = runnable = ready = False
+            retry_at = NEVER
+            for warp in order:
+                if warp.trace_done:
                     continue
-                op = warp.peek()
-                inst = op.inst
-                if not self._scoreboard_ready(warp, inst):
+                live = True
+                if warp.at_barrier:
                     continue
-                if not self._try_issue(warp, op, now):
+                runnable = True
+                if warp.pending & warp.op_mask:
                     continue
-                issued += 1
-                if self.config.warp_scheduler == "gto":
-                    self._greedy = warp
-                elif warp in self.warps:
-                    # loose round-robin: restart after the issued warp
-                    self._rr = (self.warps.index(warp) + 1) % len(self.warps)
-                self._advance(warp)
-                rescan = bool(self.warps)
+                ready = True
+                if self._try_issue(warp, now):
+                    break
+                free_at = self._unit_free_at(warp.info)
+                if free_at < retry_at:
+                    retry_at = free_at
+            else:
+                self._stall = (
+                    "unit_busy" if ready else "scoreboard" if runnable
+                    else "barrier" if live else "drained", retry_at)
                 break
+            issued += 1
+            if gto:
+                self._greedy = warp
+            else:
+                # loose round-robin: restart after the issued warp
+                self._rr = (warps.index(warp) + 1) % n
+            self._advance(warp)
         return issued > 0
 
     def _advance(self, warp):
@@ -532,13 +732,15 @@ class SMCore:
             warp.cta.check_barrier_release()
             if warp.cta.finished:
                 self._retire_cta(warp.cta)
+        else:
+            warp.load()
 
-    def _try_issue(self, warp, op, now):
-        inst = op.inst
-        if inst.is_memory:
-            return self._issue_memory(warp, op, now)
+    def _try_issue(self, warp, now):
+        info = warp.info
+        if info.is_memory:
+            return self._issue_memory(warp, now)
 
-        unit = inst.unit
+        unit = info.unit
         if unit is Unit.SP:
             if self._sp_busy_until > now:
                 return False
@@ -552,24 +754,24 @@ class SMCore:
             self.stats.unit_busy["sfu"] += self.config.sfu_initiation_interval
             latency = self.config.sfu_latency
         else:  # CTRL: bra / bar / membar / exit occupy only the issue stage
-            if inst.is_barrier:
+            if info.inst.is_barrier:
                 warp.at_barrier = True
                 warp.cta.barrier_count += 1
                 warp.cta.check_barrier_release()
             return True
 
-        dests = tuple(r.name for r in inst.writes())
-        if dests:
-            warp.pending_regs.update(dests)
+        if info.dest_mask:
+            warp.pending |= info.dest_mask
             warp.cta.outstanding += 1
-            self._schedule(now + latency, "wb", (warp, dests))
+            self._schedule(now + latency, "wb", (warp, info.dest_mask))
         return True
 
-    def _issue_memory(self, warp, op, now):
+    def _issue_memory(self, warp, now):
         if len(self.ldst_queue) >= self.config.ldst_queue_size:
             return False
+        op = warp.peek()
         inst = op.inst
-        dests = tuple(r.name for r in inst.writes())
+        dest_mask = warp.info.dest_mask
         space = inst.space
 
         if space is Space.GLOBAL or space is Space.TEX or space is Space.LOCAL:
@@ -577,7 +779,7 @@ class SMCore:
             if inst.is_atomic:
                 load_class = self.pc_classes.get(inst.pc)
             inflight = InflightMemInst(
-                warp, dests, inst.pc, self.kernel_name, load_class,
+                warp, dest_mask, inst.pc, self.kernel_name, load_class,
                 is_load=inst.is_load or inst.is_atomic,
                 is_store=inst.is_store, t_issue=now)
             blocks = coalesce_addresses(
@@ -586,6 +788,8 @@ class SMCore:
             if not blocks:
                 # all lanes predicated off: trivial completion
                 inflight.fixed_latency = 1
+            elif inflight.is_load and load_class is not None:
+                self.loads_in_flight += 1
             for block in blocks:
                 req = MemRequest(
                     block_addr=block, pc=inst.pc, load_class=load_class,
@@ -613,7 +817,7 @@ class SMCore:
             else:
                 latency = self.config.const_latency
             inflight = InflightMemInst(
-                warp, dests if inst.is_load or inst.is_atomic else (),
+                warp, dest_mask if inst.is_load or inst.is_atomic else 0,
                 inst.pc, self.kernel_name, None,
                 is_load=inst.is_load, is_store=inst.is_store,
                 t_issue=now, fixed_latency=latency)
@@ -621,8 +825,7 @@ class SMCore:
                 inflight.port_cycles = self._bank_conflict_degree(
                     op.addresses)
 
-        if inflight.dests:
-            warp.pending_regs.update(inflight.dests)
+        warp.pending |= inflight.dest_mask
         warp.cta.outstanding += 1
         self.ldst_queue.append(inflight)
         if self.config.prefetcher != "none" and inst.is_load \
@@ -686,11 +889,12 @@ class SMCore:
             break
 
     def _prefetch_cycle(self, now):
-        """Spend a free L1-port cycle on the oldest pending prefetch."""
+        """Spend a free L1-port cycle on the oldest pending prefetch;
+        returns True when it has to wait for a request-network credit."""
         block = self._pf_queue.popleft()
         outcome = self.l1.lookup(block)
         if outcome is not Outcome.MISS:
-            return True  # already present, in flight, or unprefetchable
+            return False  # already present, in flight, or unprefetchable
         if not self.req_icnt.can_inject(self.sm_id):
             self._pf_queue.appendleft(block)
             return True
@@ -701,24 +905,4 @@ class SMCore:
         self.l1.commit_miss(block, req)
         self.req_icnt.inject(req, self.sm_id, req.partition, now)
         self.stats.prefetch_issued += 1
-        return True
-
-    # -- idle-jump support ----------------------------------------------------------
-
-    def next_event_cycle(self, now):
-        """Earliest future cycle this SM can make progress on its own, or
-        ``None`` when it is waiting purely on external responses."""
-        times = []
-        if self.ldst_queue or self._pf_queue:
-            times.append(now + 1)
-        if self._events:
-            times.append(self._events[0][0])
-        runnable = any(not w.blocked for w in self.warps)
-        if runnable:
-            if self._sp_busy_until > now:
-                times.append(self._sp_busy_until)
-            if self._sfu_busy_until > now:
-                times.append(self._sfu_busy_until)
-        if not times:
-            return None
-        return max(now + 1, min(times))
+        return False

@@ -4,12 +4,17 @@ Wires the SMs, the two interconnect directions and the memory partitions
 together, assigns CTAs via a scheduling policy, and replays the warp
 traces of one or more kernel launches cycle by cycle.
 
-The main loop includes an *idle jump*: when no component can make
-progress in the current cycle (every warp stalled on the scoreboard, all
-queues drained, everything waiting on in-flight memory), the clock jumps
-to the next scheduled event.  Jumped cycles still count toward total and
-SM-active cycle statistics, so idle-fraction metrics (Figure 4) are
-unaffected.
+The main loop is event-driven (DESIGN.md, "Event-driven simulator
+loop").  Every SM and partition carries ``wake_at``, the next cycle it
+can change state; the loop jumps the clock to the earliest of those and
+of the two networks' next deliveries, and on that cycle steps only the
+components that are due, in the fixed order deliveries → partitions →
+SMs (by id) that a cycle-by-cycle loop would use.  An SM woken early —
+by a response, by a returned request-network credit it waits for, or by
+a CTA assignment — first credits the per-cycle statistics of the cycles
+it slept through, so every counter matches stepping all components on
+every cycle.  After each launch, conservation checks confirm that every
+instruction issued and every load completed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Dict, List
 from ..core.classifier import ClassificationResult
 from ..obs import tracing
 from .config import TESLA_C2050
-from .core import SMCore
+from .core import NEVER, HazardTable, SMCore
 from .cta_scheduler import make_scheduler
 from .icnt import Interconnect
 from .memory_partition import MemoryPartition
@@ -101,6 +106,8 @@ class GPU:
                     for i in range(config.num_sms)]
         self._scheduler = None
         self._cta_traces: Dict[int, List] = {}
+        #: CTAs resident across all SMs (recounted when a loop starts)
+        self._resident = 0
 
     def partition_of(self, sm_id, block_addr):
         """Which memory partition serves ``block_addr`` for ``sm_id``.
@@ -124,10 +131,12 @@ class GPU:
         return max(1, limit)
 
     def _cta_finished(self, sm_id, cta_id):
+        self._resident -= 1
         if self._scheduler is None:
             return
         nxt = self._scheduler.next_for(sm_id)
         if nxt is not None:
+            self._resident += 1
             self.sms[sm_id].assign_cta(nxt, self._cta_traces[nxt])
 
     # -- launch replay ----------------------------------------------------------
@@ -145,9 +154,14 @@ class GPU:
             tallied under the ``"other"`` class.
         """
         pc_classes = _pc_class_map(classification)
+        # record traces carry no instruction table: their hazard entries
+        # are built as the ops are first seen
+        hazards = HazardTable(getattr(launch_trace, "instructions", ()))
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
+            sm.hazards = hazards
+            sm.wake(self.now + 1)
 
         by_cta: Dict[int, List] = {}
         for warp in launch_trace.warps:
@@ -158,6 +172,7 @@ class GPU:
             self.cta_policy, cta_ids, self.config.num_sms)
 
         start_cycle = self.now
+        start_insts = self.stats.issued_warp_insts
         with tracing.span("simulate.launch",
                           kernel=launch_trace.kernel_name,
                           ctas=len(cta_ids)) as sp:
@@ -180,7 +195,39 @@ class GPU:
             sp.set(cycles=self.now - start_cycle)
         self._scheduler = None
         self._cta_traces = {}
+        self._check_conservation(
+            launch_trace, self.stats.issued_warp_insts - start_insts)
         return self.stats
+
+    def _check_conservation(self, launch_trace, issued):
+        """Raise :class:`SimulationError` unless the drained launch issued
+        every traced instruction and completed every classified load.
+
+        Prefetches and write-through stores may still be in flight; no
+        demand access may be.  A wrong wake-up shows here instead of as
+        silently shifted cycle counts.
+        """
+        problems = []
+        expected = launch_trace.total_warp_instructions()
+        if issued != expected:
+            problems.append("issued %d warp insts, the trace has %d"
+                            % (issued, expected))
+        for sm in self.sms:
+            if sm.loads_in_flight:
+                problems.append("sm %d: %d classified loads never completed"
+                                % (sm.sm_id, sm.loads_in_flight))
+            if sm.ldst_queue or sm._events:
+                problems.append("sm %d: %d LD/ST entries, %d events left"
+                                % (sm.sm_id, len(sm.ldst_queue),
+                                   len(sm._events)))
+            if sm.l1.mshr.demand_waiters():
+                problems.append("sm %d: L1 MSHR holds %d demand waiters"
+                                % (sm.sm_id, sm.l1.mshr.demand_waiters()))
+        if problems:
+            raise SimulationError(
+                "conservation check failed after launch %r: %s"
+                % (launch_trace.kernel_name, "; ".join(problems)),
+                state=self.debug_state())
 
     def run_application(self, app_trace, classifications):
         """Replay every launch of an application, in order.
@@ -195,33 +242,55 @@ class GPU:
     # -- main loop ------------------------------------------------------------------
 
     def _work_pending(self):
-        if self._scheduler is not None and self._scheduler.remaining:
-            return True
-        if any(sm.ctas for sm in self.sms):
-            return True
-        return False
+        return self._resident > 0 or (self._scheduler is not None
+                                      and self._scheduler.remaining > 0)
 
     def _run_until_drained(self):
         start = self.now
+        sms, partitions = self.sms, self.partitions
+        req_icnt, resp_icnt = self.req_icnt, self.resp_icnt
+        self._resident = sum(len(sm.ctas) for sm in sms)
+        for partition in partitions:
+            partition.wake_at = min(partition.wake_at, start + 1)
         while self._work_pending():
-            self.now += 1
-            if self.now - start > self.max_cycles:
+            # jump to the earliest cycle any component can change state
+            t = min(min([sm.wake_at for sm in sms]),
+                    min([p.wake_at for p in partitions]))
+            req_t = req_icnt.next_event_cycle()
+            if req_t is not None and req_t < t:
+                t = req_t
+            resp_t = resp_icnt.next_event_cycle()
+            if resp_t is not None and resp_t < t:
+                t = resp_t
+            if t >= NEVER:
+                raise SimulationError(
+                    "deadlock at cycle %d: no component has pending events"
+                    % self.now, state=self.debug_state())
+            t = max(t, self.now + 1)
+            self.now = t
+            if t - start > self.max_cycles:
                 raise SimulationError(
                     "cycle budget exceeded (%d cycles)" % self.max_cycles,
                     state=self.debug_state())
-            worked = False
-            for req, dst in self.req_icnt.deliver_ready(self.now):
-                self.partitions[dst].receive(req, self.now)
-                worked = True
-            for req, dst in self.resp_icnt.deliver_ready(self.now):
-                self.sms[dst].receive_response(req, self.now)
-                worked = True
-            for partition in self.partitions:
-                worked |= partition.cycle(self.now, self.resp_icnt)
-            for sm in self.sms:
-                worked |= sm.cycle(self.now)
-            if not worked:
-                self._idle_jump()
+            if req_t is not None and req_t <= t:
+                for req, dst in req_icnt.deliver_ready(t):
+                    partitions[dst].receive(req, t)
+                    sm = sms[req.sm_id]
+                    if sm.waits_for_credit:  # its credit just came back
+                        sm.wake(t)
+            if resp_t is not None and resp_t <= t:
+                for req, dst in resp_icnt.deliver_ready(t):
+                    sm = sms[dst]
+                    sm.wake(t)
+                    sm.receive_response(req, t)
+            for partition in partitions:
+                if partition.wake_at <= t:
+                    partition.cycle(t, resp_icnt)
+            for sm in sms:
+                if sm.wake_at <= t:
+                    sm.cycle(t)
+        for sm in sms:
+            sm.wake(self.now + 1)  # credit the cycles slept until the end
         self.stats.cycles = self.now
         self.stats.icnt_injected = (self.req_icnt.total_injected
                                     + self.resp_icnt.total_injected)
@@ -269,37 +338,6 @@ class GPU:
             sm.l1.mshr.publish_metrics(reg, level="l1", sm=str(sm.sm_id),
                                        **labels)
         return reg
-
-    def _idle_jump(self):
-        """Nothing happened this cycle: jump the clock to the next event."""
-        candidates = []
-        for icnt in (self.req_icnt, self.resp_icnt):
-            t = icnt.next_event_cycle()
-            if t is not None:
-                candidates.append(t)
-        for partition in self.partitions:
-            t = partition.next_event_cycle(self.now)
-            if t is not None:
-                candidates.append(t)
-        for sm in self.sms:
-            t = sm.next_event_cycle(self.now)
-            if t is not None:
-                candidates.append(t)
-        if not candidates:
-            raise SimulationError(
-                "deadlock at cycle %d: no component has pending events"
-                % self.now, state=self.debug_state())
-        target = max(self.now + 1, min(candidates))
-        skipped = target - self.now - 1
-        if skipped > 0:
-            # account skipped time: total cycles advance, and SMs holding
-            # resident warps remain "active but stalled" (Figure 4 denominator
-            # and the issue-stall breakdown)
-            for sm in self.sms:
-                if sm.warps:
-                    self.stats.active_sm_cycles += skipped
-                    self.stats.issue_stall[sm.stall_reason()] += skipped
-            self.now += skipped
 
 
 def _pc_class_map(classification):

@@ -19,6 +19,11 @@ The model per partition:
 * responses compete for the partition's response-network credits; without
   a credit they wait, adding to the "wasted cycles in memory partitions"
   the paper measures in Figures 5-7.
+
+The GPU steps a partition only at ``wake_at``: the cycle
+:meth:`MemoryPartition.next_event_cycle` names after each step, pulled
+earlier by :meth:`MemoryPartition.receive`.  A cycle in between would do
+nothing, and a partition keeps no per-cycle statistics.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from itertools import count
 from typing import List, Tuple
 
 from .cache import Cache, Outcome
+from .core import NEVER
 from .request import MemRequest
 
 
@@ -67,6 +73,8 @@ class MemoryPartition:
         self.dram_reads = 0
         self.dram_writes = 0
         self.requests_received = 0
+        #: the next cycle the GPU must step this partition
+        self.wake_at = 0
 
     # -- ingress ---------------------------------------------------------------
 
@@ -75,22 +83,24 @@ class MemoryPartition:
         ready = now + self.config.rop_latency
         self.requests_received += 1
         heapq.heappush(self._input, (ready, next(self._seq), request))
+        if ready < self.wake_at:
+            self.wake_at = ready
 
     # -- per-cycle work ----------------------------------------------------------
 
     def cycle(self, now, resp_icnt):
-        """Advance the partition one cycle; returns True if it did work."""
-        worked = False
-        worked |= self._dram_complete(now)
-        worked |= self._dram_issue(now)
-        worked |= self._l2_service(now)
-        worked |= self._collect_responses(now)
-        worked |= self._inject_responses(now, resp_icnt)
-        return worked
+        """Advance the partition one cycle and set ``wake_at``."""
+        self._dram_complete(now)
+        self._dram_issue(now)
+        self._l2_service(now)
+        self._collect_responses(now)
+        self._inject_responses(now, resp_icnt)
+        nxt = self.next_event_cycle(now)
+        self.wake_at = NEVER if nxt is None else nxt
 
     def _l2_service(self, now):
         if not self._input or self._input[0][0] > now:
-            return False
+            return
         ready, seq, req = heapq.heappop(self._input)
         if req.t_l2_in < 0:
             req.t_l2_in = now
@@ -101,7 +111,7 @@ class MemoryPartition:
             # write-through, no-allocate; keep the L2 coherent by evicting
             self.l2.write_touch(req.block_addr)
             self._dram_queue.append(req)
-            return True
+            return
 
         outcome = self.l2.lookup(req.block_addr)
         if outcome is Outcome.HIT:
@@ -125,17 +135,13 @@ class MemoryPartition:
             self.stats.l2_stall_cycles += 1
             self.stall_cycles += 1
             heapq.heappush(self._input, (now + 1, seq, req))
-        return True
 
     def _dram_issue(self, now):
-        if not self._dram_queue:
-            return False
-        start = max(now, self._dram_busy_until)
-        if start > now:
-            return False
+        if not self._dram_queue or self._dram_busy_until > now:
+            return
         req = self._dram_queue.popleft()
-        self._dram_busy_until = start + self.config.dram_burst_interval
-        done = (start + self.config.dram_latency
+        self._dram_busy_until = now + self.config.dram_burst_interval
+        done = (now + self.config.dram_latency
                 + self.config.dram_burst_interval)
         if req.is_write:
             self.stats.dram_writes += 1
@@ -144,13 +150,10 @@ class MemoryPartition:
             self.stats.dram_reads += 1
             self.dram_reads += 1
         heapq.heappush(self._dram_heap, (done, next(self._seq), req))
-        return True
 
     def _dram_complete(self, now):
-        worked = False
         while self._dram_heap and self._dram_heap[0][0] <= now:
             _t, _s, req = heapq.heappop(self._dram_heap)
-            worked = True
             if req.is_write:
                 continue
             waiters = self.l2.fill(req.block_addr)
@@ -159,23 +162,16 @@ class MemoryPartition:
             for waiter in waiters:
                 waiter.t_l2_out = now
                 self._resp_ready.append(waiter)
-        return worked
 
     def _collect_responses(self, now):
-        worked = False
         while self._resp_heap and self._resp_heap[0][0] <= now:
             _t, _s, req = heapq.heappop(self._resp_heap)
             self._resp_ready.append(req)
-            worked = True
-        return worked
 
     def _inject_responses(self, now, resp_icnt):
-        worked = False
         while self._resp_ready and resp_icnt.can_inject(self.pid):
             req = self._resp_ready.popleft()
             resp_icnt.inject(req, self.pid, req.sm_id, now)
-            worked = True
-        return worked
 
     # -- observability -----------------------------------------------------------
 
@@ -211,7 +207,7 @@ class MemoryPartition:
         self.l2.mshr.publish_metrics(registry, level="l2",
                                      partition=pid, **labels)
 
-    # -- idle-jump support -------------------------------------------------------
+    # -- event-driven stepping ---------------------------------------------------
 
     def next_event_cycle(self, now):
         """Earliest future cycle at which this partition can make progress,

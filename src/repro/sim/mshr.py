@@ -71,6 +71,11 @@ class MSHRTable:
     def waiting(self, block_addr):
         return list(self._entries.get(block_addr, ()))
 
+    def demand_waiters(self):
+        """Waiting requests that are not prefetches (a warp needs them)."""
+        return sum(1 for waiters in self._entries.values()
+                   for req in waiters if not req.is_prefetch)
+
     def reset(self):
         """Drop all in-flight entries, keeping lifetime telemetry.
 
