@@ -41,6 +41,10 @@ class Outcome(enum.Enum):
     RSRV_FAIL_MSHR = "rsrv_fail_mshr"
     RSRV_FAIL_ICNT = "rsrv_fail_icnt"
 
+    # members are singletons: identity hashing keeps the per-cycle
+    # Outcome-keyed stats dicts off Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
     @property
     def is_fail(self):
         return self in RESERVATION_FAILS

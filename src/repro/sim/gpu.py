@@ -19,6 +19,7 @@ instruction issued and every load completed.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List
 
 from ..core.classifier import ClassificationResult
@@ -29,6 +30,9 @@ from .cta_scheduler import make_scheduler
 from .icnt import Interconnect
 from .memory_partition import MemoryPartition
 from .stats import SimStats
+
+
+_wake_at = attrgetter("wake_at")
 
 
 class SimulationError(Exception):
@@ -250,12 +254,9 @@ class GPU:
         sms, partitions = self.sms, self.partitions
         req_icnt, resp_icnt = self.req_icnt, self.resp_icnt
         self._resident = sum(len(sm.ctas) for sm in sms)
-        for partition in partitions:
-            partition.wake_at = min(partition.wake_at, start + 1)
         while self._work_pending():
             # jump to the earliest cycle any component can change state
-            t = min(min([sm.wake_at for sm in sms]),
-                    min([p.wake_at for p in partitions]))
+            t = min(min(map(_wake_at, sms)), min(map(_wake_at, partitions)))
             req_t = req_icnt.next_event_cycle()
             if req_t is not None and req_t < t:
                 t = req_t
