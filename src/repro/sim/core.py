@@ -203,7 +203,7 @@ class _WarpRun:
                  "_ops", "_insts", "_pc", "_kind", "_astart", "_lanes",
                  "_addrs", "_cur_idx", "_cur_op")
 
-    def __init__(self, trace, cta, age=0, hazards=None):
+    def __init__(self, trace, cta, age, hazards):
         self.trace = trace
         self.ptr = 0
         #: bitmask of registers with a write in flight
@@ -211,7 +211,7 @@ class _WarpRun:
         self.at_barrier = False
         self.cta = cta
         self.age = age
-        self._hazards = hazards if hazards is not None else HazardTable()
+        self._hazards = hazards
         self._cur_idx = -1
         self._cur_op = None
         self.info = None
@@ -261,10 +261,6 @@ class _WarpRun:
             self._cur_op = self.op_at(self.ptr)
             self._cur_idx = self.ptr
         return self._cur_op
-
-    @property
-    def blocked(self):
-        return self.trace_done or self.at_barrier
 
 
 class _CTASlot:

@@ -165,6 +165,7 @@ class GPU:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
             sm.hazards = hazards
+            # settle slept cycles before the initial CTA fill below
             sm.wake(self.now + 1)
 
         by_cta: Dict[int, List] = {}
@@ -224,9 +225,10 @@ class GPU:
                 problems.append("sm %d: %d LD/ST entries, %d events left"
                                 % (sm.sm_id, len(sm.ldst_queue),
                                    len(sm._events)))
-            if sm.l1.mshr.demand_waiters():
+            waiters = sm.l1.mshr.demand_waiters()
+            if waiters:
                 problems.append("sm %d: L1 MSHR holds %d demand waiters"
-                                % (sm.sm_id, sm.l1.mshr.demand_waiters()))
+                                % (sm.sm_id, waiters))
         if problems:
             raise SimulationError(
                 "conservation check failed after launch %r: %s"
