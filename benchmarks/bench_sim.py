@@ -1,8 +1,7 @@
 """Timing-simulator benchmark: ``python benchmarks/bench_sim.py``.
 
-Emulates every Table I workload once (mst included unless
-``--apps`` says otherwise), then replays its trace through the timing
-simulator ``--repeats`` times on a fresh :class:`~repro.sim.GPU` and
+Emulates every Table I workload (or the ``--apps`` subset) once, then
+replays its trace through the timing simulator ``--repeats`` times on a fresh :class:`~repro.sim.GPU` and
 records, per app:
 
 * ``simulate_s`` — the median wall seconds of one full replay
@@ -34,16 +33,16 @@ def bench_app(name, scale, repeats, config):
     from repro.workloads import get_workload
 
     run = get_workload(name, scale=scale).run(verify=False)
-    times, stats = [], None
+    times, counts = [], set()
     for _ in range(repeats):
         gpu = GPU(config)
         t0 = time.perf_counter()
         gpu.run_application(run.trace, run.classifications)
         times.append(time.perf_counter() - t0)
-        if stats is not None and (gpu.stats.cycles, gpu.stats.issued_warp_insts) \
-                != (stats.cycles, stats.issued_warp_insts):
-            raise SystemExit("%s: simulation is not deterministic" % name)
         stats = gpu.stats
+        counts.add((stats.cycles, stats.issued_warp_insts))
+    if len(counts) > 1:
+        raise SystemExit("%s: simulation is not deterministic" % name)
     seconds = statistics.median(times)
     return {
         "simulate_s": round(seconds, 4),
