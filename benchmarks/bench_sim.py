@@ -1,8 +1,8 @@
 """Timing-simulator benchmark: ``python benchmarks/bench_sim.py``.
 
-Emulates every Table I workload (or the ``--apps`` subset) once, then
-replays its trace through the timing simulator ``--repeats`` times on a fresh :class:`~repro.sim.GPU` and
-records, per app:
+Emulates every Table I workload at scale ``SCALE`` once, then replays
+its trace through the timing simulator ``REPEATS`` times, each on a
+fresh :class:`~repro.sim.GPU`, and records, per app:
 
 * ``simulate_s`` — the median wall seconds of one full replay
   (``GPU.run_application``; emulation is excluded),
@@ -26,6 +26,11 @@ import os
 import platform
 import statistics
 import time
+
+#: workload input scale; the committed baseline's cycle counts depend on it
+SCALE = 0.25
+#: replays per app (the median is reported)
+REPEATS = 3
 
 
 def bench_app(name, scale, repeats, config):
@@ -54,12 +59,6 @@ def bench_app(name, scale, repeats, config):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=0.25,
-                        help="workload input scale (default 0.25)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="replays per app (the median is reported)")
-    parser.add_argument("--apps", default=None,
-                        help="comma-separated subset (default: Table I)")
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_sim.json"))
@@ -69,11 +68,11 @@ def main(argv=None):
     from repro.service.pipeline import build_job_config
     from repro.workloads import workload_names
 
-    names = args.apps.split(",") if args.apps else workload_names()
+    names = workload_names()
     config = build_job_config(JobRequest(app=names[0]))
     apps = {}
     for name in names:
-        apps[name] = row = bench_app(name, args.scale, args.repeats, config)
+        apps[name] = row = bench_app(name, SCALE, REPEATS, config)
         print("%-6s simulate %7.3fs  %9d cycles  %8d warp-insts  "
               "%9.1f warp-insts/s" % (name, row["simulate_s"], row["cycles"],
                                       row["issued_warp_insts"],
@@ -89,8 +88,8 @@ def main(argv=None):
     }
     payload = {
         "meta": {
-            "scale": args.scale,
-            "repeats": args.repeats,
+            "scale": SCALE,
+            "repeats": REPEATS,
             "python": platform.python_version(),
             "platform": platform.platform(),
             "num_sms": config.num_sms,

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..emulator.columnar import _PC_SHIFT, KIND_NONE
 from ..ptx.isa import Space, Unit
-from .cache import RESERVATION_FAILS, Cache, Outcome
+from .cache import Cache, Outcome
 from .coalescer import coalesce_addresses
 from .request import MemRequest
 from .stats import class_label
@@ -338,7 +338,9 @@ class SMCore:
         #: True while asleep on a reservation failure a returning
         #: request-network credit can clear
         self.waits_for_credit = False
-        self._next_cycle = 0   # first cycle neither stepped nor credited
+        # first cycle neither stepped nor credited (the GPU clock's first
+        # cycle is 1)
+        self._next_cycle = 1
         # what one slept cycle adds to the stats: the issue-stall reason
         # (None without resident warps) and the failing LD/ST head's
         # (outcome, class label) (None when the unit is idle)
@@ -602,7 +604,7 @@ class SMCore:
         req = head.pending[0]
         outcome = self._access_l1(req, now)
         self.stats.record_l1_cycle(outcome, req.load_class)
-        if outcome in RESERVATION_FAILS:
+        if outcome.is_fail:
             return outcome
         if not req.is_write and not req.is_atomic:
             self.stats.record_l1_result(outcome, req.load_class)

@@ -14,7 +14,10 @@ by a response, by a returned request-network credit it waits for, or by
 a CTA assignment — first credits the per-cycle statistics of the cycles
 it slept through, so every counter matches stepping all components on
 every cycle.  After each launch, conservation checks confirm that every
-instruction issued and every load completed.
+instruction issued and every load completed; they catch a wrong
+resident-CTA count or a lost instruction.  A wake that comes late shifts
+cycles with everything still conserved: the simulator golden fixtures
+(``tests/golden/fixtures/sim/``) are what guard the wake paths.
 """
 
 from __future__ import annotations
@@ -165,8 +168,6 @@ class GPU:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
             sm.hazards = hazards
-            # settle slept cycles before the initial CTA fill below
-            sm.wake(self.now + 1)
 
         by_cta: Dict[int, List] = {}
         for warp in launch_trace.warps:
@@ -209,8 +210,10 @@ class GPU:
         every traced instruction and completed every classified load.
 
         Prefetches and write-through stores may still be in flight; no
-        demand access may be.  A wrong wake-up shows here instead of as
-        silently shifted cycle counts.
+        demand access may be.  This catches a wrong resident-CTA count
+        (the loop ending early) or a lost instruction.  It cannot see a
+        late wake-up, which shifts cycles with everything conserved; the
+        simulator golden fixtures guard the wake paths.
         """
         problems = []
         expected = launch_trace.total_warp_instructions()
